@@ -3,8 +3,8 @@
 // op path every maintenance_interval_ops) and background mode (a
 // MaintenanceScheduler doing the same work on worker threads, with the
 // op path only signalling pressure). Prints throughput, tail latencies
-// (p50/p99/p999), the MM/SS per-class split, and the maintenance
-// attribution counters.
+// (p50/p99/p999), the MM/SS per-class split, and every non-zero store
+// metric over the run (the maintenance attribution counters among them).
 //
 // This binary is also the enforcement point for the background-mode
 // contract: it exits non-zero if the background run charged ANY
@@ -70,9 +70,8 @@ int Run() {
   };
   ModeRow rows[] = {{"inline", false, {}}, {"background", true, {}}};
 
-  printf("\n%-11s | %12s | %8s %8s %8s | %10s %10s %8s %12s\n", "mode",
-         "wall ops/s", "p50us", "p99us", "p999us", "fg ops", "bg steps",
-         "stalls", "stall us");
+  printf("\n%-11s | %12s | %8s %8s %8s\n", "mode", "wall ops/s", "p50us",
+         "p99us", "p999us");
   for (ModeRow& row : rows) {
     row.report = RunOnce(row.background);
     const workload::RunReport& r = row.report;
@@ -81,13 +80,11 @@ int Run() {
              (unsigned long long)r.failed_ops);
       return 1;
     }
-    printf("%-11s | %12.0f | %8.1f %8.1f %8.1f | %10llu %10llu %8llu "
-           "%12llu\n",
-           row.name, r.ops_per_wall_sec, r.p50_micros, r.p99_micros,
-           r.p999_micros, (unsigned long long)r.foreground_maintenance_ops,
-           (unsigned long long)r.background_maintenance_steps,
-           (unsigned long long)r.write_stalls,
-           (unsigned long long)r.stall_micros_total);
+    printf("%-11s | %12.0f | %8.1f %8.1f %8.1f\n", row.name,
+           r.ops_per_wall_sec, r.p50_micros, r.p99_micros, r.p999_micros);
+    printf("%-11s | store:", "");
+    bench::PrintNonZeroStoreMetrics(r.store);
+    printf("\n");
     if (r.mm_latency_micros.count() > 0 || r.ss_latency_micros.count() > 0) {
       printf("%-11s | classes: mm=%llu (p50 %.1f / p99 %.1f)  ss=%llu "
              "(p50 %.1f / p99 %.1f)\n",
@@ -105,19 +102,19 @@ int Run() {
   // generates maintenance pressure; background mode proves all of it
   // moved off the foreground path.
   int rc = 0;
-  if (inline_r.foreground_maintenance_ops == 0) {
+  if (inline_r.store.foreground_maintenance_ops == 0) {
     printf("\nFAIL: inline run did no foreground maintenance — the "
            "workload is not generating pressure, so the background "
            "assertion below would be vacuous\n");
     rc = 1;
   }
-  if (bg_r.foreground_maintenance_ops != 0) {
+  if (bg_r.store.foreground_maintenance_ops != 0) {
     printf("\nFAIL: background run charged %llu maintenance ops to "
            "foreground threads (contract: exactly 0)\n",
-           (unsigned long long)bg_r.foreground_maintenance_ops);
+           (unsigned long long)bg_r.store.foreground_maintenance_ops);
     rc = 1;
   }
-  if (bg_r.background_maintenance_steps == 0) {
+  if (bg_r.store.background_maintenance_steps == 0) {
     printf("\nFAIL: background run executed no scheduler steps under "
            "sustained eviction pressure\n");
     rc = 1;
@@ -125,7 +122,7 @@ int Run() {
   if (rc == 0) {
     printf("\nOK: steady-state foreground_maintenance_ops == 0 in "
            "background mode (%llu scheduler steps did the work)\n",
-           (unsigned long long)bg_r.background_maintenance_steps);
+           (unsigned long long)bg_r.store.background_maintenance_steps);
   }
   return rc;
 }

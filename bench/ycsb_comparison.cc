@@ -92,14 +92,11 @@ int RunSingleThreadMixes() {
 
     // Miss fraction from the structured stats delta — no component
     // poking, no string parsing.
-    core::KvStoreStats before = caching.Stats();
+    const core::KvStoreStats before = caching.Stats();
     workload::Workload w1(spec, 1);
     auto r1 = workload::RunWorkload(&caching, &w1, kOps);
-    core::KvStoreStats after = caching.Stats();
-    core::KvStoreStats delta;
-    delta.hits = after.hits - before.hits;
-    delta.misses = after.misses - before.misses;
-    double f = delta.MissFraction();
+    const double f =
+        core::KvStoreStats::Delta(before, caching.Stats()).MissFraction();
 
     workload::Workload w2(spec, 1);
     auto r2 = workload::RunWorkload(&memory, &w2, kOps);
@@ -145,9 +142,7 @@ std::vector<SweepPoint> Sweep(const char* store_name,
     opts.ops_per_thread = kSweepOps / threads;
     workload::Runner runner(store.get(), spec, opts);
 
-    core::KvStoreStats before = store->Stats();
     workload::RunReport report = runner.LoadAndRun();
-    core::KvStoreStats after = store->Stats();
     if (report.failed_ops > 0) {
       printf("WARNING: %s %d threads: %llu failed ops\n", store_name,
              threads, (unsigned long long)report.failed_ops);
@@ -157,10 +152,7 @@ std::vector<SweepPoint> Sweep(const char* store_name,
     SweepPoint p;
     p.threads = threads;
     p.report = report;
-    core::KvStoreStats delta;
-    delta.hits = after.hits - before.hits;
-    delta.misses = after.misses - before.misses;
-    p.miss_fraction = delta.MissFraction();
+    p.miss_fraction = report.store.MissFraction();
     points.push_back(std::move(p));
 
     printf("%-10s %7d | %12.0f %12.0f %12.0f | %8.1f %8.1f | %6.3f\n",
@@ -427,20 +419,16 @@ int RunSmokeJson(const char* path) {
     const char* mode = background ? "background" : "inline";
     printf("%-11s | %12.0f | %8.1f %8.1f %8.1f | %10llu %10llu\n", mode,
            r.ops_per_wall_sec, r.p50_micros, r.p99_micros, r.p999_micros,
-           (unsigned long long)r.foreground_maintenance_ops,
-           (unsigned long long)r.background_maintenance_steps);
+           (unsigned long long)r.store.foreground_maintenance_ops,
+           (unsigned long long)r.store.background_maintenance_steps);
     fprintf(out,
             "%s    {\"mode\": \"%s\", \"ops_per_wall_sec\": %.0f, "
             "\"p50_micros\": %.2f, \"p99_micros\": %.2f, "
-            "\"p999_micros\": %.2f, \"foreground_maintenance_ops\": %llu, "
-            "\"background_maintenance_steps\": %llu, "
-            "\"write_stalls\": %llu, \"stall_micros_total\": %llu}",
+            "\"p999_micros\": %.2f, ",
             first ? "" : ",\n", mode, r.ops_per_wall_sec, r.p50_micros,
-            r.p99_micros, r.p999_micros,
-            (unsigned long long)r.foreground_maintenance_ops,
-            (unsigned long long)r.background_maintenance_steps,
-            (unsigned long long)r.write_stalls,
-            (unsigned long long)r.stall_micros_total);
+            r.p99_micros, r.p999_micros);
+    bench::PrintStoreJson(out, r.store);
+    fprintf(out, "}");
     first = false;
   }
   fprintf(out, "\n  ],\n");
@@ -509,7 +497,8 @@ int RunSmokeJson(const char* path) {
         fclose(out);
         return 1;
       }
-      const core::KvStoreStats s = store->Stats();
+      // The store's metrics over load + run, from a fresh store.
+      const core::KvStoreStats& s = r.store;
       // Two-level cache hit rate, Fig. 8's framing: the compressed tier
       // is a cache level, so an op served from a compressed record (a
       // small flash read + decompression instead of a full-page SS read)
@@ -542,34 +531,17 @@ int RunSmokeJson(const char* path) {
              b.name, tier_on ? "on" : "off", r.ops_per_wall_sec, hit_rate,
              (unsigned long long)s.tier_css_hits,
              (unsigned long long)s.tier_demotions, hrpd,
-             s.measured_t_i_seconds, s.modeled_t_i_seconds);
+             s.MeasuredTiSeconds(), s.ModeledTiSeconds());
       fprintf(out,
               "%s    {\"budget\": \"%s\", \"budget_bytes\": %llu, "
               "\"tier\": \"%s\", \"ops_per_wall_sec\": %.0f, "
               "\"p99_micros\": %.2f, \"hit_rate\": %.4f, "
-              "\"hit_rate_per_dollar\": %.2f, "
-              "\"dram_resident_bytes\": %llu, \"css_bytes\": %llu, "
-              "\"css_hits\": %llu, \"demotions\": %llu, "
-              "\"promotions\": %llu, \"demotion_refusals\": %llu, "
-              "\"compression_ratio\": %.4f, "
-              "\"measured_t_i_seconds\": %.2f, "
-              "\"modeled_t_i_seconds\": %.2f, "
-              "\"measured_css_breakeven_ops\": %.6f, "
-              "\"modeled_css_breakeven_ops\": %.6f, "
-              "\"foreground_maintenance_ops\": %llu}",
+              "\"hit_rate_per_dollar\": %.2f, ",
               first ? "" : ",\n", b.name,
               (unsigned long long)b.budget_total, tier_on ? "on" : "off",
-              r.ops_per_wall_sec, r.p99_micros, hit_rate, hrpd,
-              (unsigned long long)s.memory_bytes,
-              (unsigned long long)s.tier_css_bytes,
-              (unsigned long long)s.tier_css_hits,
-              (unsigned long long)s.tier_demotions,
-              (unsigned long long)s.tier_promotions,
-              (unsigned long long)s.tier_demotion_refusals,
-              s.MeasuredCompressionRatio(), s.measured_t_i_seconds,
-              s.modeled_t_i_seconds, s.measured_css_breakeven_ops,
-              s.modeled_css_breakeven_ops,
-              (unsigned long long)r.foreground_maintenance_ops);
+              r.ops_per_wall_sec, r.p99_micros, hit_rate, hrpd);
+      bench::PrintStoreJson(out, s);
+      fprintf(out, "}");
       first = false;
       // Acceptance: background maintenance must never leak into the
       // foreground on any tier row, and the constrained (~25% DRAM)
@@ -578,12 +550,12 @@ int RunSmokeJson(const char* path) {
       // too fast for a deterministic css_hits floor.
       const bool must_hit_css =
           tier_on != 0 && b.budget_total == (1920ull << 10);
-      if (tier_on != 0 && (r.foreground_maintenance_ops != 0 ||
+      if (tier_on != 0 && (s.foreground_maintenance_ops != 0 ||
                            (must_hit_css && s.tier_css_hits == 0))) {
         fprintf(stderr,
                 "smoke: css acceptance failed (%s): css_hits=%llu fg_ops=%llu\n",
                 b.name, (unsigned long long)s.tier_css_hits,
-                (unsigned long long)r.foreground_maintenance_ops);
+                (unsigned long long)s.foreground_maintenance_ops);
         fclose(out);
         return 1;
       }

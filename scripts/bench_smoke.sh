@@ -16,6 +16,9 @@
 #     mix at three cache budgets, each with the CSS tier off and on.
 #     Rows carry hit_rate_per_dollar plus the measured-vs-modeled
 #     T_i and CSS/SS breakeven rates computed from actual demotions.
+#   ss_sweep and css_sweep rows carry their store columns as a "store"
+#   object: every KvStoreStats metric (the names wire STATS exports as
+#   store.<name>) plus the derived ratios and breakevens.
 # Plus BENCH_index.json from bench/index_probe: per-probe ns of single
 # vs batch-interleaved descent over both index structures, swept over
 # batch size and interleave depth.

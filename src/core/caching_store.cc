@@ -6,7 +6,6 @@
 #include "analysis/bwtree_validator.h"
 #include "analysis/log_store_auditor.h"
 #include "analysis/mapping_table_auditor.h"
-#include "costmodel/five_minute_rule.h"
 
 namespace costperf::core {
 
@@ -407,15 +406,15 @@ bool CachingStore::BackgroundTierStep(
 
 bool CachingStore::BackgroundGcStep(
     const maintenance::MaintenanceQuota& quota) {
+  // The one GC policy of both maintenance modes: the dead-space trigger
+  // decides when to collect, and any sealed segment up to 90% live is a
+  // victim.
+  constexpr double kGcVictimMaxLive = 0.9;
   const double trigger = options_.background.log_dead_trigger;
   if (trigger <= 0) return false;
-  // gc_live_threshold keeps its inline-mode meaning (victim
-  // eligibility); the dead-space trigger decides *when* to collect.
-  const double victim_threshold =
-      options_.gc_live_threshold > 0 ? options_.gc_live_threshold : 0.9;
   for (uint32_t i = 0; i < quota.gc_segments; ++i) {
     if (log_->DeadSpaceFraction() < trigger) return false;
-    Status s = CollectOneSegment(victim_threshold);
+    Status s = CollectOneSegment(kGcVictimMaxLive);
     // NotFound: dead space is spread across segments above the victim
     // threshold — nothing eligible, stop rather than respin.
     if (!s.ok()) {
@@ -496,9 +495,7 @@ void CachingStore::Maintain() {
   if (options_.merge_fill_target > 0) {
     tree_->MergeUnderfullLeaves(options_.merge_fill_target);
   }
-  if (options_.gc_live_threshold > 0) {
-    (void)CollectOneSegment(options_.gc_live_threshold);
-  }
+  (void)BackgroundGcStep(maintenance::MaintenanceQuota{});
   tree_->ReclaimMemory();
   maintenance_mu_.Unlock();
 }
@@ -621,15 +618,15 @@ KvStoreStats CachingStore::Stats() const {
   s.stall_micros_total = stall_micros_total_.load(std::memory_order_relaxed);
   const auto l = log_->stats();
   s.log_append_groups = l.append_groups;
-  static_assert(KvStoreStats::kLogGroupBuckets ==
-                llama::LogStoreStats::kGroupSizeBuckets);
-  for (size_t i = 0; i < l.group_size_hist.size(); ++i) {
-    s.log_group_size_hist[i] = l.group_size_hist[i];
-  }
-  // Three-tier hierarchy: occupancy and traffic from the cache and tree,
-  // then the Fig. 8 / Eq. 6 breakevens — once at the paper's modeled
-  // constants, and again at the page size and compression ratio this
-  // store actually measured while demoting.
+  static_assert(llama::LogStoreStats::kGroupSizeBuckets == 6);
+  s.log_groups_1 = l.group_size_hist[0];
+  s.log_groups_2 = l.group_size_hist[1];
+  s.log_groups_3_4 = l.group_size_hist[2];
+  s.log_groups_5_8 = l.group_size_hist[3];
+  s.log_groups_9_16 = l.group_size_hist[4];
+  s.log_groups_17_up = l.group_size_hist[5];
+  // Three-tier hierarchy: occupancy and traffic from the cache and tree.
+  // The breakevens are derived from these by KvStoreStats itself.
   s.tier_dram_pages = c.resident_pages;
   s.tier_dram_bytes = c.resident_bytes;
   s.tier_css_pages = c.css_pages;
@@ -650,22 +647,6 @@ KvStoreStats CachingStore::Stats() const {
       bg_pages_demoted_.load(std::memory_order_relaxed);
   s.background_pages_promoted =
       bg_pages_promoted_.load(std::memory_order_relaxed);
-  const costmodel::CostParams modeled = costmodel::CostParams::PaperDefaults();
-  s.modeled_t_i_seconds = costmodel::BreakevenIntervalSeconds(modeled);
-  s.modeled_css_breakeven_ops =
-      costmodel::CssSsBreakevenOpsPerSec(modeled, costmodel::CompressionParams{});
-  if (t.css_demotions > 0 && t.css_raw_bytes_demoted > 0) {
-    costmodel::CostParams measured = modeled;
-    measured.page_size_bytes = static_cast<double>(t.css_raw_bytes_demoted) /
-                               static_cast<double>(t.css_demotions);
-    costmodel::CompressionParams ratio;
-    ratio.compression_ratio =
-        static_cast<double>(t.css_stored_bytes_demoted) /
-        static_cast<double>(t.css_raw_bytes_demoted);
-    s.measured_t_i_seconds = costmodel::BreakevenIntervalSeconds(measured);
-    s.measured_css_breakeven_ops =
-        costmodel::CssSsBreakevenOpsPerSec(measured, ratio);
-  }
   return s;
 }
 

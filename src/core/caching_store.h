@@ -61,8 +61,6 @@ struct CachingStoreOptions {
   uint32_t cache_shards = 0;
   // Run maintenance every N operations.
   uint32_t maintenance_interval_ops = 256;
-  // GC: collect segments below this live fraction during maintenance.
-  double gc_live_threshold = 0.0;  // 0 disables GC in maintenance
   // Merge adjacent leaves whose combined payload is below this fraction
   // of max_page_bytes during maintenance. 0 disables merging.
   double merge_fill_target = 0.0;
@@ -89,8 +87,8 @@ struct CachingStoreOptions {
     // Signal when resident bytes exceed this fraction of the memory
     // budget (<= 0 disables the fill trigger; interval signals remain).
     double cache_fill_trigger = 0.9;
-    // Signal when the log's dead-space fraction exceeds this (<= 0
-    // disables background GC).
+    // Collect log segments while the log's dead-space fraction is at or
+    // above this, in both maintenance modes (<= 0 disables GC).
     double log_dead_trigger = 0.5;
     // Write backpressure: foreground Put/Delete stalls (bounded) while
     // resident bytes exceed this multiple of the budget, giving the
@@ -210,6 +208,9 @@ class CachingStore : public KvStore,
   // Demote-before-evict decision for one victim: true when the page went
   // to the CSS tier (so plain eviction must be skipped).
   bool TryDemote(mapping::PageId pid) REQUIRES(maintenance_mu_);
+  // Log GC for both modes (inline Maintain() runs it with the default
+  // quota): collects up to quota.gc_segments while the dead-space
+  // fraction is at or above background.log_dead_trigger.
   bool BackgroundGcStep(const maintenance::MaintenanceQuota& quota)
       REQUIRES(maintenance_mu_);
   // One prepare-then-collect GC round: picks the coldest sealed segment at

@@ -1,7 +1,6 @@
 #ifndef COSTPERF_CORE_KV_STORE_H_
 #define COSTPERF_CORE_KV_STORE_H_
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -28,129 +27,208 @@ inline const char* HealthStatusName(HealthStatus h) {
   return h == HealthStatus::kHealthy ? "healthy" : "degraded";
 }
 
-// Structured operation/IO counters common to every KvStore. Benches and
-// tests consume these fields directly instead of parsing DebugString().
-// "hits" are operations completed purely in memory (the paper's MM ops);
-// "misses" needed at least one secondary-storage read (SS ops) — for a
-// pure main-memory store misses is always zero.
+// A counter only grows, so an interval's share is after - before; a
+// gauge is a level, so an interval keeps the after value.
+enum class MetricKind { kCounter, kGauge };
+// How shards combine (ShardedStore::Stats): summed, or the worst wins.
+enum class MetricMerge { kSum, kWorst };
+
+struct MetricInfo {
+  const char* name;
+  MetricKind kind;
+  MetricMerge merge;
+  const char* unit;
+  const char* doc;
+};
+struct DerivedMetricInfo {
+  const char* name;
+  const char* unit;
+  const char* doc;
+};
+
+// The store metric schema, one row per KvStoreStats member:
+//   X(name, type, kind, merge, unit, doc)
+// The members, operator+= (shard merge), Delta (run intervals), ToString
+// and ForEachMetric are generated from it; wire STATS (store.<name>),
+// RunReport and the bench JSON rows export through ForEachMetric. A new
+// metric is one row here plus the line in a store's Stats() filling it.
+// hits/misses are the paper's MM/SS ops: a miss read flash at least once.
+#define COSTPERF_KV_STORE_METRICS(X)                                        \
+  X(reads, uint64_t, kCounter, kSum, "ops", "Get + Scan operations")        \
+  X(writes, uint64_t, kCounter, kSum, "ops", "Put + Delete operations")     \
+  X(hits, uint64_t, kCounter, kSum, "ops", "ops served without flash read") \
+  X(misses, uint64_t, kCounter, kSum, "ops", "ops that read flash")         \
+  X(io_reads, uint64_t, kCounter, kSum, "ios", "device read I/Os")          \
+  X(io_writes, uint64_t, kCounter, kSum, "ios", "device write I/Os")        \
+  X(bytes_read, uint64_t, kCounter, kSum, "B", "device bytes read")         \
+  X(bytes_written, uint64_t, kCounter, kSum, "B", "device bytes written")   \
+  X(memory_bytes, uint64_t, kGauge, kSum, "B", "resident DRAM footprint")   \
+  X(io_retries, uint64_t, kCounter, kSum, "ios", "transient errors retried")\
+  X(health, HealthStatus, kGauge, kWorst, "state", "0 healthy, 1 degraded") \
+  X(cache_touches, uint64_t, kCounter, kSum, "touches", "lock-free touches")\
+  X(cache_touches_sampled, uint64_t, kCounter, kSum, "touches",             \
+    "of which ref-bit-only")                                                \
+  X(epoch_reclaim_batches, uint64_t, kCounter, kSum, "passes",              \
+    "epoch reclaim passes that freed memory")                               \
+  X(epoch_reclaimed_items, uint64_t, kCounter, kSum, "items",               \
+    "retired deleters run")                                                 \
+  X(log_append_groups, uint64_t, kCounter, kSum, "groups",                  \
+    "log append fill groups")                                               \
+  X(log_groups_1, uint64_t, kCounter, kSum, "groups", "groups of 1 append") \
+  X(log_groups_2, uint64_t, kCounter, kSum, "groups", "groups of 2")        \
+  X(log_groups_3_4, uint64_t, kCounter, kSum, "groups", "groups of 3-4")    \
+  X(log_groups_5_8, uint64_t, kCounter, kSum, "groups", "groups of 5-8")    \
+  X(log_groups_9_16, uint64_t, kCounter, kSum, "groups", "groups of 9-16")  \
+  X(log_groups_17_up, uint64_t, kCounter, kSum, "groups", "groups of 17+")  \
+  X(multiget_batches, uint64_t, kCounter, kSum, "calls", "MultiGet calls")  \
+  X(multiget_keys, uint64_t, kCounter, kSum, "keys", "keys in those calls") \
+  X(multiget_shard_groups, uint64_t, kCounter, kSum, "visits",              \
+    "per-shard group visits")                                               \
+  X(writebatch_batches, uint64_t, kCounter, kSum, "calls", "WriteBatch calls")\
+  X(writebatch_entries, uint64_t, kCounter, kSum, "entries", "in those")    \
+  X(writebatch_shard_groups, uint64_t, kCounter, kSum, "visits",            \
+    "per-shard group visits")                                               \
+  X(foreground_maintenance_ops, uint64_t, kCounter, kSum, "passes",         \
+    "maintenance passes run on an application thread")                      \
+  X(background_maintenance_steps, uint64_t, kCounter, kSum, "steps",        \
+    "scheduler worker steps")                                               \
+  X(background_pages_evicted, uint64_t, kCounter, kSum, "pages",            \
+    "pages evicted by worker steps")                                        \
+  X(background_gc_segments, uint64_t, kCounter, kSum, "segments",           \
+    "log segments collected by the GC step (either mode)")                  \
+  X(background_consolidations, uint64_t, kCounter, kSum, "pages",           \
+    "delta chains consolidated by housekeeping")                            \
+  X(background_leaf_flushes, uint64_t, kCounter, kSum, "pages",             \
+    "dirty leaves flushed by housekeeping")                                 \
+  X(write_stalls, uint64_t, kCounter, kSum, "stalls",                       \
+    "bounded write stalls under eviction debt")                             \
+  X(stall_micros_total, uint64_t, kCounter, kSum, "us", "time stalled")     \
+  X(tier_dram_pages, uint64_t, kGauge, kSum, "pages", "pages in DRAM")      \
+  X(tier_dram_bytes, uint64_t, kGauge, kSum, "B", "bytes in DRAM")          \
+  X(tier_css_pages, uint64_t, kGauge, kSum, "pages", "pages in CSS")        \
+  X(tier_css_bytes, uint64_t, kGauge, kSum, "B", "stored bytes in CSS")     \
+  X(tier_css_hits, uint64_t, kCounter, kSum, "loads", "loads from CSS")     \
+  X(tier_demotions, uint64_t, kCounter, kSum, "pages", "DRAM -> CSS")       \
+  X(tier_promotions, uint64_t, kCounter, kSum, "pages", "CSS -> DRAM")      \
+  X(tier_demotion_refusals, uint64_t, kCounter, kSum, "pages",              \
+    "demotions the policy refused as a loss")                               \
+  X(tier_css_fallthroughs, uint64_t, kCounter, kSum, "pages",               \
+    "CSS -> plain SS on budget overflow")                                   \
+  X(css_raw_bytes, uint64_t, kCounter, kSum, "B", "raw bytes demoted")      \
+  X(css_stored_bytes, uint64_t, kCounter, kSum, "B", "stored bytes demoted")\
+  X(tier_dram_interval_nanos, uint64_t, kCounter, kSum, "ns",               \
+    "sum of DRAM touch gaps")                                               \
+  X(tier_dram_interval_samples, uint64_t, kCounter, kSum, "gaps",           \
+    "DRAM touch gaps summed")                                               \
+  X(tier_css_interval_nanos, uint64_t, kCounter, kSum, "ns",                \
+    "sum of CSS reheat gaps")                                               \
+  X(tier_css_interval_samples, uint64_t, kCounter, kSum, "gaps",            \
+    "CSS reheat gaps summed")                                               \
+  X(background_pages_demoted, uint64_t, kCounter, kSum, "pages",            \
+    "demotions by maintenance (either mode)")                               \
+  X(background_pages_promoted, uint64_t, kCounter, kSum, "pages",           \
+    "promotions by background maintenance")
+
+// Derived metrics, Y(name, method, unit, doc): computed from the fields
+// above and never stored, so an aggregate recomputes them from its sums.
+#define COSTPERF_KV_STORE_DERIVED(Y)                                        \
+  Y(miss_fraction, MissFraction, "ratio", "the paper's F")                  \
+  Y(compression_ratio, MeasuredCompressionRatio, "ratio", "stored / raw")   \
+  Y(mean_dram_interval_seconds, MeanDramIntervalSeconds, "s", "DRAM gap")   \
+  Y(mean_css_interval_seconds, MeanCssIntervalSeconds, "s", "CSS gap")      \
+  Y(modeled_t_i_seconds, ModeledTiSeconds, "s", "Eq. 6 T_i, modeled")       \
+  Y(measured_t_i_seconds, MeasuredTiSeconds, "s", "Eq. 6 T_i, measured")    \
+  Y(modeled_css_breakeven_ops, ModeledCssBreakevenOps, "1/s", "CSS/SS, mod.")\
+  Y(measured_css_breakeven_ops, MeasuredCssBreakevenOps, "1/s", "CSS/SS")
+
+// Structured counters common to every KvStore, declared by
+// COSTPERF_KV_STORE_METRICS. Benches and tests read the fields directly
+// instead of parsing DebugString().
 struct KvStoreStats {
-  uint64_t reads = 0;          // Get + Scan operations
-  uint64_t writes = 0;         // Put + Delete operations
-  uint64_t hits = 0;           // ops served without any flash read (MM)
-  uint64_t misses = 0;         // ops that required a flash read (SS)
-  uint64_t io_reads = 0;       // device read I/Os
-  uint64_t io_writes = 0;      // device write I/Os
-  uint64_t bytes_read = 0;     // device bytes read
-  uint64_t bytes_written = 0;  // device bytes written
-  uint64_t memory_bytes = 0;   // resident DRAM footprint
-  uint64_t io_retries = 0;     // transient I/O errors absorbed by retry
-  HealthStatus health = HealthStatus::kHealthy;
+#define COSTPERF_KV_METRIC_MEMBER(name, type, kind, merge, unit, doc) \
+  type name{};
+  COSTPERF_KV_STORE_METRICS(COSTPERF_KV_METRIC_MEMBER)
+#undef COSTPERF_KV_METRIC_MEMBER
 
-  // Hot-path contention visibility (so future PRs can see serialization
-  // without a profiler): lock-free cache-touch hits, epoch reclamation
-  // batches, and log group-append batching.
-  uint64_t cache_touches = 0;          // lock-free Touch fast-path hits
-  uint64_t cache_touches_sampled = 0;  // of which: ref-bit-only (sampled)
-  uint64_t epoch_reclaim_batches = 0;  // reclaim passes that freed memory
-  uint64_t epoch_reclaimed_items = 0;  // total retired deleters run
-  uint64_t log_append_groups = 0;      // completed append fill groups
-  // Append group sizes, bucketed 1, 2, 3-4, 5-8, 9-16, 17+.
-  static constexpr size_t kLogGroupBuckets = 6;
-  std::array<uint64_t, kLogGroupBuckets> log_group_size_hist{};
+#define COSTPERF_KV_METRIC_COUNT(...) +1
+  static constexpr size_t kMetricCount =
+      0 COSTPERF_KV_STORE_METRICS(COSTPERF_KV_METRIC_COUNT);
+#undef COSTPERF_KV_METRIC_COUNT
 
-  // Batched-surface visibility: how much traffic arrives through the
-  // batch API and how well composites (ShardedStore) group it. A wire
-  // server whose pipelined windows reach the batched store paths shows up
-  // here as multiget_keys >> multiget_batches with
-  // multiget_shard_groups << multiget_keys (one shard visit serving many
-  // keys). Plain stores leave these 0; ShardedStore fills them.
-  uint64_t multiget_batches = 0;       // batched MultiGet calls served
-  uint64_t multiget_keys = 0;          // keys across those calls
-  uint64_t multiget_shard_groups = 0;  // per-shard group visits
-  uint64_t writebatch_batches = 0;     // batched WriteBatch calls served
-  uint64_t writebatch_entries = 0;     // entries across those calls
-  uint64_t writebatch_shard_groups = 0;
-
-  // Maintenance attribution: who paid for eviction/GC/consolidation.
-  // foreground_maintenance_ops counts maintenance passes executed on an
-  // application thread (inline mode, or a background-mode fallback) —
-  // with background maintenance active it stays 0 in steady state.
-  uint64_t foreground_maintenance_ops = 0;
-  uint64_t background_maintenance_steps = 0;  // scheduler worker steps
-  uint64_t background_pages_evicted = 0;
-  uint64_t background_gc_segments = 0;
-  uint64_t background_consolidations = 0;
-  uint64_t background_leaf_flushes = 0;
-  // Write backpressure: bounded foreground stalls taken while eviction
-  // debt exceeded the stall budget, and the total time spent in them.
-  uint64_t write_stalls = 0;
-  uint64_t stall_micros_total = 0;
-
-  // Three-tier hierarchy (DRAM -> compressed-SS -> SS, §7.2 / Fig. 8).
-  // Occupancy (point-in-time), traffic (cumulative), and the per-tier
-  // access-interval accumulators that make the five-minute-rule breakeven
-  // a *measured* quantity. Stores without a tier leave these 0.
-  uint64_t tier_dram_pages = 0;
-  uint64_t tier_dram_bytes = 0;
-  uint64_t tier_css_pages = 0;
-  uint64_t tier_css_bytes = 0;          // compressed (stored) footprint
-  uint64_t tier_css_hits = 0;           // loads served by compressed records
-  uint64_t tier_demotions = 0;          // DRAM -> CSS
-  uint64_t tier_promotions = 0;         // CSS -> DRAM
-  uint64_t tier_demotion_refusals = 0;  // policy said CSS would be a loss
-  uint64_t tier_css_fallthroughs = 0;   // CSS -> plain SS (budget overflow)
-  uint64_t css_raw_bytes = 0;           // pre-compression bytes demoted
-  uint64_t css_stored_bytes = 0;        // compressed bytes demoted
-  uint64_t tier_dram_interval_nanos = 0;    // sum of DRAM touch gaps
-  uint64_t tier_dram_interval_samples = 0;
-  uint64_t tier_css_interval_nanos = 0;     // sum of CSS reheat gaps
-  uint64_t tier_css_interval_samples = 0;
-  uint64_t background_pages_demoted = 0;
-  uint64_t background_pages_promoted = 0;
-  // Five-minute-rule breakeven T_i (Eq. 6): the modeled value at the
-  // paper's §4.1 constants, and the measured value with the mean demoted
-  // page size observed from running code. Likewise the Fig. 8 CSS-vs-SS
-  // crossover at the modeled vs the measured compression ratio. Per-store
-  // quantities: operator+= adopts the first non-zero value (shards share
-  // parameters; recompute from the additive accumulators for exactness).
-  double modeled_t_i_seconds = 0;
-  double measured_t_i_seconds = 0;
-  double modeled_css_breakeven_ops = 0;
-  double measured_css_breakeven_ops = 0;
-
-  // Measured compression ratio across all demotions (1.0 before any).
-  double MeasuredCompressionRatio() const {
-    return css_raw_bytes == 0 ? 1.0
-                              : static_cast<double>(css_stored_bytes) /
-                                    static_cast<double>(css_raw_bytes);
+  // Calls f(const MetricInfo&, field&) for every metric in declaration
+  // order (field is const on const stats): exporters read through it,
+  // tests write through it.
+  template <typename F>
+  void ForEachMetric(F&& f) { VisitMetrics(*this, f); }
+  template <typename F>
+  void ForEachMetric(F&& f) const { VisitMetrics(*this, f); }
+  // Calls f(const DerivedMetricInfo&, double) for every derived metric.
+  template <typename F>
+  void ForEachDerivedMetric(F&& f) const {
+#define COSTPERF_KV_DERIVED_VISIT(name, method, unit, doc) \
+  f(DerivedMetricInfo{#name, unit, doc}, method());
+    COSTPERF_KV_STORE_DERIVED(COSTPERF_KV_DERIVED_VISIT)
+#undef COSTPERF_KV_DERIVED_VISIT
   }
+
+  // The paper's F; 0 when the store classified nothing.
+  double MissFraction() const;
+  // Compressed / raw bytes across all demotions (1.0 before any).
+  double MeasuredCompressionRatio() const;
   // Mean measured inter-access gap per tier, seconds (0 with no samples).
-  double MeanDramIntervalSeconds() const {
-    return tier_dram_interval_samples == 0
-               ? 0.0
-               : static_cast<double>(tier_dram_interval_nanos) * 1e-9 /
-                     static_cast<double>(tier_dram_interval_samples);
-  }
-  double MeanCssIntervalSeconds() const {
-    return tier_css_interval_samples == 0
-               ? 0.0
-               : static_cast<double>(tier_css_interval_nanos) * 1e-9 /
-                     static_cast<double>(tier_css_interval_samples);
-  }
+  double MeanDramIntervalSeconds() const;
+  double MeanCssIntervalSeconds() const;
+  // Eq. 6 breakeven T_i and the Fig. 8 CSS-vs-SS crossover, modeled at
+  // the paper's §4.1 constants and measured at the mean demoted page size
+  // (css_raw_bytes / tier_demotions) and compression ratio; the measured
+  // values are 0 before any demotion.
+  double ModeledTiSeconds() const;
+  double MeasuredTiSeconds() const;
+  double ModeledCssBreakevenOps() const;
+  double MeasuredCssBreakevenOps() const;
 
-  // Fraction of classified ops that missed (the paper's F). 0 when the
-  // store classified nothing.
-  double MissFraction() const {
-    const uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(misses) / total;
-  }
-
+  // Merges another shard's stats in, each metric by its merge rule.
   KvStoreStats& operator+=(const KvStoreStats& other);
-
-  // One-line "kv: reads=... writes=..." rendering; the canonical body of
+  // The interval between two snapshots of one store, by metric kind.
+  static KvStoreStats Delta(const KvStoreStats& before,
+                            const KvStoreStats& after);
+  // "kv: <name>=<value> ..." then "derived: ..."; the canonical body of
   // DebugString().
   std::string ToString() const;
+
+ private:
+  template <typename Stats, typename F>
+  static void VisitMetrics(Stats& s, F& f) {
+#define COSTPERF_KV_METRIC_VISIT(name, type, kind, merge, unit, doc) \
+  f(MetricInfo{#name, MetricKind::kind, MetricMerge::merge, unit, doc},  \
+    s.name);
+    COSTPERF_KV_STORE_METRICS(COSTPERF_KV_METRIC_VISIT)
+#undef COSTPERF_KV_METRIC_VISIT
+  }
 };
+
+namespace internal {
+// Converts to any member type, so the number of them an aggregate
+// accepts as initializers is its member count.
+struct AnyField {
+  template <typename T>
+  operator T() const;  // NOLINT(google-explicit-constructor)
+};
+template <typename T, typename... Fields>
+constexpr size_t AggregateFieldCount() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return AggregateFieldCount<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+}  // namespace internal
+
+// A KvStoreStats member declared outside COSTPERF_KV_STORE_METRICS would
+// be skipped by the merge, the delta and every export; it fails here.
+static_assert(internal::AggregateFieldCount<KvStoreStats>() ==
+                  KvStoreStats::kMetricCount,
+              "declare KvStoreStats members in COSTPERF_KV_STORE_METRICS");
 
 // The library's public key-value abstraction. Implemented by
 // CachingStore (Bw-tree over LLAMA over the simulated SSD — the paper's

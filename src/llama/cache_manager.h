@@ -80,19 +80,6 @@ struct CacheStats {
   uint64_t dram_interval_samples = 0;
   uint64_t css_interval_nanos = 0;
   uint64_t css_interval_samples = 0;
-
-  double MeanDramIntervalSeconds() const {
-    return dram_interval_samples == 0
-               ? 0.0
-               : static_cast<double>(dram_interval_nanos) * 1e-9 /
-                     static_cast<double>(dram_interval_samples);
-  }
-  double MeanCssIntervalSeconds() const {
-    return css_interval_samples == 0
-               ? 0.0
-               : static_cast<double>(css_interval_nanos) * 1e-9 /
-                     static_cast<double>(css_interval_samples);
-  }
 };
 
 // Resident-set accounting and victim selection for the data cache. The

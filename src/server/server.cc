@@ -1138,21 +1138,13 @@ std::string Server::StatsText() const {
   add("admission.pushback_windows", admission_.pushback_windows());
   add("admission.rejected", admission_.rejected());
 
+  // Every store metric as store.<name>, plus the pre-schema
+  // store.health_degraded key that STATS readers already parse.
   const core::KvStoreStats st = store_->Stats();
   add("store.health_degraded", st.health == core::HealthStatus::kDegraded);
-  add("store.reads", st.reads);
-  add("store.writes", st.writes);
-  add("store.hits", st.hits);
-  add("store.misses", st.misses);
-  add("store.multiget_batches", st.multiget_batches);
-  add("store.multiget_keys", st.multiget_keys);
-  add("store.multiget_shard_groups", st.multiget_shard_groups);
-  add("store.writebatch_batches", st.writebatch_batches);
-  add("store.writebatch_entries", st.writebatch_entries);
-  add("store.writebatch_shard_groups", st.writebatch_shard_groups);
-  add("store.log_append_groups", st.log_append_groups);
-  add("store.write_stalls", st.write_stalls);
-  add("store.stall_micros_total", st.stall_micros_total);
+  st.ForEachMetric([&add](const core::MetricInfo& m, const auto& v) {
+    add(std::string("store.") + m.name, static_cast<uint64_t>(v));
+  });
 
   for (const TenantSnapshot& ts : tenants_.Snapshot()) {
     const std::string prefix = "tenant." + std::to_string(ts.tenant_id);

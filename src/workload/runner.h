@@ -66,13 +66,11 @@ struct RunReport {
   double ss_p50_micros = 0;
   double ss_p99_micros = 0;
 
-  // Store-side maintenance attribution over the run (Stats() deltas;
-  // LoadAndRun includes the load phase). foreground_maintenance_ops == 0
-  // means no application thread paid for eviction/GC/consolidation.
-  uint64_t foreground_maintenance_ops = 0;
-  uint64_t background_maintenance_steps = 0;
-  uint64_t write_stalls = 0;
-  uint64_t stall_micros_total = 0;
+  // The store's metrics over the run: KvStoreStats::Delta of Stats()
+  // around it (LoadAndRun includes the load phase). For example
+  // store.foreground_maintenance_ops == 0 means no application thread
+  // paid for eviction/GC/consolidation.
+  core::KvStoreStats store;
 
   std::string ToString() const;
 };

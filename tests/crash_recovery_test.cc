@@ -226,7 +226,6 @@ TEST(CrashRecoveryTortureTest, CrashMidBackgroundMaintenanceRecovers) {
     // Short stall bound: post-crash evictions all fail, so backpressure
     // must not turn the remaining (unstallable) debt into long waits.
     opts.background.stall_max_wait_micros = 2000;
-    opts.gc_live_threshold = 0.8;
     // Zero idle floor: background eviction demotes its victims to the
     // compressed tier until the CSS budget fills, so the crash also
     // lands mid-compressed-record on scheduler threads.

@@ -6,6 +6,8 @@
 #include "bwtree/page_codec.h"
 #include "common/random.h"
 #include "core/caching_store.h"
+#include "costmodel/cost_params.h"
+#include "costmodel/five_minute_rule.h"
 
 namespace costperf::bwtree {
 namespace {
@@ -205,9 +207,9 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   EXPECT_GT(after_demote.tier_css_bytes, 0u);
   EXPECT_LT(after_demote.MeasuredCompressionRatio(), 0.7)
       << "structured payloads must actually shrink";
-  EXPECT_GT(after_demote.measured_css_breakeven_ops, 0.0)
+  EXPECT_GT(after_demote.MeasuredCssBreakevenOps(), 0.0)
       << "demotions must feed the measured Fig. 8 breakeven";
-  EXPECT_GT(after_demote.measured_t_i_seconds, 0.0);
+  EXPECT_GT(after_demote.MeasuredTiSeconds(), 0.0);
 
   // Data still correct through the compressed tier, and reading it IS
   // the promotion path: the load decompresses and flips the entry back
@@ -223,6 +225,62 @@ TEST(CssStoreTest, TieringPolicySendsColdestPagesToCss) {
   EXPECT_GT(after_reads.tier_promotions, 0u)
       << "a touched CSS page must promote back to DRAM";
   EXPECT_LT(after_reads.tier_css_pages, after_demote.tier_css_pages);
+}
+
+// Stats of a store whose stone-cold pages all demoted to the compressed
+// tier; max_page_bytes sets the mean demoted page size.
+core::KvStoreStats DemotedShardStats(uint32_t max_page_bytes) {
+  VirtualClock clock(1);
+  core::CachingStoreOptions opts;
+  opts.clock = &clock;
+  opts.device.capacity_bytes = 256ull << 20;
+  opts.device.max_iops = 0;
+  opts.eviction_policy = llama::EvictionPolicy::kCostBased;
+  opts.tier.css_budget_bytes = 64ull << 20;
+  opts.tier.demote_idle_seconds = 200.0;
+  opts.memory_budget_bytes = 0;
+  opts.maintenance_interval_ops = 0;
+  opts.tree.max_page_bytes = max_page_bytes;
+  core::CachingStore store(opts);
+  for (int i = 0; i < 3000; ++i) {
+    EXPECT_TRUE(store.Put("k" + std::to_string(i), StructuredValue(i)).ok());
+  }
+  EXPECT_TRUE(store.Checkpoint().ok());
+  clock.AdvanceSeconds(300);
+  store.Maintain();
+  return store.Stats();
+}
+
+TEST(CssStoreTest, ShardMergeRecomputesBreakevensFromSums) {
+  const core::KvStoreStats a = DemotedShardStats(2048);
+  const core::KvStoreStats b = DemotedShardStats(8192);
+  ASSERT_GT(a.tier_demotions, 0u);
+  ASSERT_GT(b.tier_demotions, 0u);
+  const double mean_a = static_cast<double>(a.css_raw_bytes) /
+                        static_cast<double>(a.tier_demotions);
+  const double mean_b = static_cast<double>(b.css_raw_bytes) /
+                        static_cast<double>(b.tier_demotions);
+  ASSERT_GT(mean_b, 1.5 * mean_a) << "the shards must differ in page size";
+
+  core::KvStoreStats merged = a;
+  merged += b;
+  // The aggregate's breakevens come from the summed accumulators: the
+  // mean demoted page size and the compression ratio over both shards.
+  costmodel::CostParams p = costmodel::CostParams::PaperDefaults();
+  p.page_size_bytes =
+      static_cast<double>(a.css_raw_bytes + b.css_raw_bytes) /
+      static_cast<double>(a.tier_demotions + b.tier_demotions);
+  costmodel::CompressionParams ratio;
+  ratio.compression_ratio =
+      static_cast<double>(a.css_stored_bytes + b.css_stored_bytes) /
+      static_cast<double>(a.css_raw_bytes + b.css_raw_bytes);
+  EXPECT_DOUBLE_EQ(merged.MeasuredTiSeconds(),
+                   costmodel::BreakevenIntervalSeconds(p));
+  EXPECT_DOUBLE_EQ(merged.MeasuredCssBreakevenOps(),
+                   costmodel::CssSsBreakevenOpsPerSec(p, ratio));
+  // Neither shard's own value stands in for the aggregate.
+  EXPECT_NE(merged.MeasuredTiSeconds(), a.MeasuredTiSeconds());
+  EXPECT_NE(merged.MeasuredTiSeconds(), b.MeasuredTiSeconds());
 }
 
 TEST(CssStoreTest, ReheatLimitRefusesThrashingPages) {

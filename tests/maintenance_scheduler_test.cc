@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -249,7 +250,6 @@ TEST(BackgroundMaintenanceTest, GcTriggersOnDeadSpaceFraction) {
   opts.memory_budget_bytes = 128 << 10;  // eviction keeps flash churning
   opts.background.workers = 1;
   opts.background.log_dead_trigger = 0.3;
-  opts.gc_live_threshold = 0.8;
   core::CachingStore store(opts);
 
   const std::string value(512, 'v');
@@ -339,7 +339,7 @@ TEST(BackgroundMaintenanceTest, ShardedStoreOwnsOneSharedScheduler) {
   workload::Runner runner(store.get(), spec, ropts);
   auto report = runner.LoadAndRun();
   EXPECT_EQ(report.failed_ops, 0u);
-  EXPECT_EQ(report.foreground_maintenance_ops, 0u);
+  EXPECT_EQ(report.store.foreground_maintenance_ops, 0u);
   store->maintenance_scheduler()->Quiesce();
   EXPECT_EQ(store->Stats().foreground_maintenance_ops, 0u);
 }
@@ -363,6 +363,41 @@ TEST(BackgroundMaintenanceTest, InlineModeStillMaintainsAndCountsOps) {
   // pass may leave a few unevictable victims resident, so check
   // activity, not an exact byte bound).
   EXPECT_GT(store.cache()->stats().evictions, 0u);
+}
+
+TEST(BackgroundMaintenanceTest, InlineGcKeepsDeviceOccupancyBounded) {
+  // Library defaults (inline maintenance, default GC trigger) with a
+  // small DRAM budget: every overwrite round evicts and rewrites pages,
+  // deadening their previous flash images. Inline maintenance must
+  // collect that dead space, so the media the log occupies stays bounded
+  // while the log appends several times that much.
+  core::CachingStoreOptions opts;
+  opts.memory_budget_bytes = 256 << 10;
+  core::CachingStore store(opts);
+  EXPECT_EQ(store.maintenance_scheduler(), nullptr);
+
+  constexpr uint64_t kOccupiedBound = 16ull << 20;
+  constexpr uint64_t kAppendTarget = 4 * kOccupiedBound;
+  const std::string value(256, 'v');
+  uint64_t max_occupied = 0;
+  for (int round = 0;
+       round < 400 && store.log_store()->stats().bytes_appended < kAppendTarget;
+       ++round) {
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_TRUE(store.Put("key" + std::to_string(i), value).ok());
+    }
+    max_occupied =
+        std::max(max_occupied, store.device()->stats().occupied_bytes);
+  }
+  ASSERT_GE(store.log_store()->stats().bytes_appended, kAppendTarget)
+      << "the workload must wrap the log several times";
+  EXPECT_LT(max_occupied, kOccupiedBound);
+  EXPECT_GT(store.Stats().background_gc_segments, 0u);
+  for (int i = 0; i < 2000; i += 97) {
+    auto r = store.Get("key" + std::to_string(i));
+    ASSERT_TRUE(r.ok()) << i;
+    EXPECT_EQ(*r, value);
+  }
 }
 
 }  // namespace
